@@ -31,13 +31,12 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 	if m.closed.Load() {
 		return store.ErrClosed
 	}
-	v, err := m.acquire()
+	v, dead, err := m.acquire()
 	if err != nil {
 		return err
 	}
 	defer v.release()
 	segs := v.segs
-	dead := m.tomb.Load()
 	if len(segs) == 0 || (len(segs) == 1 && !anyDeadIn(segs[0].meta, dead)) {
 		return nil
 	}
@@ -135,11 +134,14 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		}
 	}
 	sort.Slice(newMetas, func(i, j int) bool { return newMetas[i].FirstDoc < newMetas[j].FirstDoc })
+	// Tombstones physically purged from the compacted range move to
+	// the purged set; deletions that raced in after the snapshot stay.
+	nb := m.tomb.Load().without(dead, meta.FirstDoc, meta.LastDoc)
 	newMan := &Manifest{
 		Version:  manifestVersion,
 		NextDoc:  m.man.NextDoc,
 		NextSeg:  id + 1,
-		Purged:   m.man.Purged,
+		Purged:   nb.purged,
 		Segments: newMetas,
 	}
 	if err := newMan.save(m.dir); err != nil {
@@ -148,19 +150,14 @@ func (m *Manager) Compact(ctx context.Context) (err error) {
 		os.Remove(filepath.Join(m.dir, meta.Dict))
 		return err
 	}
-	// Tombstones physically purged from the compacted range come off
-	// the bitmap; deletions that raced in after the snapshot stay.
-	cur := m.tomb.Load()
-	nb := cur.without(dead, meta.FirstDoc, meta.LastDoc)
-	newMan.Purged += cur.deleted - nb.deleted
 	if err := saveTombstones(m.dir, nb, newMan.NextDoc); err != nil {
 		return err
 	}
-	m.tomb.Store(nb)
-	m.purged.Store(newMan.Purged)
-
 	gen := m.gen.Add(1)
+	// The purged bitmap and the view without the purged postings are
+	// published together (see acquire).
 	m.mu.Lock()
+	m.tomb.Store(nb)
 	old := m.cur
 	m.man = newMan
 	newSegs := []*segment{seg}

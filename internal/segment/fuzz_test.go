@@ -1,8 +1,10 @@
 package segment
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"fastinvert/internal/store"
@@ -56,15 +58,18 @@ func FuzzSegmentManifest(f *testing.F) {
 
 // FuzzTombstoneBitmap feeds arbitrary bytes to the tombstone parser.
 // Corrupt inputs must yield ErrCorruptIndex without panicking or
-// allocating beyond the input size; accepted inputs must round-trip
-// bit-exactly through marshal.
+// allocating beyond the input size; accepted current-version inputs
+// must round-trip bit-exactly through marshal, and accepted version 1
+// inputs must re-marshal to a file that parses to the same bits.
 func FuzzTombstoneBitmap(f *testing.F) {
 	b := (&bitmap{}).grown(21)
 	for _, d := range []uint32{0, 7, 20} {
 		b = b.withDoc(d, 21)
 	}
 	f.Add(marshalTombstones(b, 21))
+	f.Add(marshalTombstones(b.without(b.withDoc(3, 21), 0, 7), 21))
 	f.Add(marshalTombstones(&bitmap{}, 0))
+	f.Add(tombstonesV1(f, 21, 0, 7, 20))
 	f.Add([]byte("FITS"))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -75,15 +80,24 @@ func FuzzTombstoneBitmap(f *testing.F) {
 			}
 			return
 		}
-		// The word slice is bounded by the payload actually present.
-		if len(bm.bits)*8 > len(raw)+7 {
-			t.Fatalf("allocated %d bitmap bytes from %d input bytes", len(bm.bits)*8, len(raw))
+		// The word slices are bounded by the payload actually present.
+		if (len(bm.bits)+len(bm.gone))*8 > len(raw)+14 {
+			t.Fatalf("allocated %d bitmap bytes from %d input bytes",
+				(len(bm.bits)+len(bm.gone))*8, len(raw))
 		}
 		if got := bm.countPrefix(bm.numDocs); got != bm.deleted {
 			t.Fatalf("deleted = %d but %d bits set", bm.deleted, got)
 		}
-		if out := marshalTombstones(bm, bm.numDocs); string(out) != string(raw) {
-			t.Fatalf("accepted tombstones do not round-trip")
+		out := marshalTombstones(bm, bm.numDocs)
+		if binary.LittleEndian.Uint32(raw[4:]) == tombVersion {
+			if string(out) != string(raw) {
+				t.Fatalf("accepted tombstones do not round-trip")
+			}
+			return
+		}
+		back, err := parseTombstones(out)
+		if err != nil || !reflect.DeepEqual(back.bits, bm.bits) || back.deleted != bm.deleted {
+			t.Fatalf("version 1 tombstones do not survive re-marshalling: %v", err)
 		}
 	})
 }

@@ -21,6 +21,16 @@ import (
 // traces and correlate query latency with concurrent maintenance.
 type TraceSink func(*telemetry.RequestTrace)
 
+// PostingsCache holds decoded sealed-segment lists across queries.
+// Each key names one sealed segment file and one term; sealed segments
+// never change, so an entry can never go stale, and entries of
+// segments a compaction replaced are simply never asked for again.
+// Cached lists are shared between readers and must not be mutated.
+type PostingsCache interface {
+	Get(key string) (*postings.List, bool)
+	PutSized(key string, l *postings.List, size int64)
+}
+
 // ErrUnknownDoc reports a Delete of a docID that was never assigned.
 var ErrUnknownDoc = errors.New("segment: unknown document")
 
@@ -69,9 +79,10 @@ type Stats struct {
 //
 // Concurrency: AddDocument, Delete, Seal and the compaction commit are
 // serialized by a write lock. Queries run lock-free against immutable
-// generation-stamped views — a query acquires the current view,
-// finishes against it however long it takes, and a concurrent seal or
-// compaction simply swaps in the next view for later queries.
+// generation-stamped views — a query acquires the current view together
+// with the tombstones published with it, finishes against the pair
+// however long it takes, and a concurrent seal or compaction simply
+// swaps in the next view for later queries.
 //
 // Durability: sealed segments, the manifest and sealed-doc tombstones
 // are written atomically and fsynced. The memtable has no write-ahead
@@ -87,16 +98,23 @@ type Manager struct {
 	writeMu sync.Mutex
 
 	// mu guards the current view, manifest and memtable pointers; held
-	// only for pointer swaps, never across I/O.
+	// only for pointer swaps, never across I/O. A compaction stores tomb
+	// under it together with its view, and readers load both under it
+	// (acquire), so a compaction's purged bitmap never meets the
+	// segments that still hold the purged postings. Delete stores tomb
+	// without it: an extra bit can only hide a document.
 	mu  sync.RWMutex
 	cur *view
 	man *Manifest
 	mem *memtable
 
 	nextDoc atomic.Uint32
-	purged  atomic.Uint32 // docs physically removed by past compactions
-	tomb    atomic.Pointer[bitmap]
+	tomb    atomic.Pointer[bitmap] // also counts the docs compactions purged
 	gen     atomic.Uint64
+
+	// cache, when set, holds decoded sealed-segment lists (see
+	// PostingsCache); nil reads every list from its segment file.
+	cache atomic.Pointer[PostingsCache]
 
 	compactMu      sync.Mutex  // one compaction at a time
 	compactPending atomic.Bool // a background compaction is queued or running
@@ -136,13 +154,17 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	tomb, err := loadTombstones(dir)
+	tomb, err := loadTombstones(dir, man.Purged)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
 	if tomb.numDocs > man.NextDoc {
 		return nil, fmt.Errorf("segment: tombstones cover %d docs but only %d are sealed: %w",
 			tomb.numDocs, man.NextDoc, store.ErrCorruptIndex)
+	}
+	if int64(tomb.deleted)+int64(tomb.purged) > int64(man.NextDoc) {
+		return nil, fmt.Errorf("segment: %d deleted and %d purged of %d sealed docs: %w",
+			tomb.deleted, tomb.purged, man.NextDoc, store.ErrCorruptIndex)
 	}
 	// A tombstone file older than the manifest (crash between the two
 	// writes) keeps its bits; deletions recorded in the lost window are
@@ -167,7 +189,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	}
 	m.opts.Codec = codec
 	m.nextDoc.Store(man.NextDoc)
-	m.purged.Store(man.Purged)
 	m.tomb.Store(tomb)
 	m.cur = newView(segs, mem, 0)
 	m.ctx, m.cancel = context.WithCancel(context.Background())
@@ -175,9 +196,8 @@ func Open(dir string, opts Options) (*Manager, error) {
 }
 
 // Gen returns the current index generation. It advances on every
-// visible mutation (add, delete, seal, compaction), which makes it a
-// safe cache-key component: postings cached under one generation can
-// never serve a later state.
+// visible mutation (add, delete, seal, compaction); /ingest responses
+// and request traces report it.
 func (m *Manager) Gen() uint64 { return m.gen.Load() }
 
 // SetTraceSink installs (or clears, with nil) the receiver for
@@ -190,6 +210,26 @@ func (m *Manager) SetTraceSink(fn TraceSink) {
 		return
 	}
 	m.traceSink.Store(&fn)
+}
+
+// SetPostingsCache installs (or clears, with nil) the cache that
+// sealed-segment lists are read through. The memtable tail is never
+// cached, and tombstones are applied after the cache, so neither an
+// add nor a delete invalidates an entry.
+func (m *Manager) SetPostingsCache(c PostingsCache) {
+	if c == nil {
+		m.cache.Store(nil)
+		return
+	}
+	m.cache.Store(&c)
+}
+
+// postingsCache returns the installed cache, nil when there is none.
+func (m *Manager) postingsCache() PostingsCache {
+	if c := m.cache.Load(); c != nil {
+		return *c
+	}
+	return nil
 }
 
 // opTrace starts a background-operation trace when a sink is
@@ -233,9 +273,9 @@ func (m *Manager) NumDocs() uint32 { return m.nextDoc.Load() }
 // LiveDocs reports the number of non-deleted documents: assigned IDs
 // minus current tombstones minus docs already purged by compactions.
 func (m *Manager) LiveDocs() int64 {
-	n := int64(m.nextDoc.Load()) - int64(m.purged.Load())
+	n := int64(m.nextDoc.Load())
 	if d := m.tomb.Load(); d != nil {
-		n -= int64(d.deleted)
+		n -= int64(d.deleted) + int64(d.purged)
 	}
 	return n
 }
@@ -273,7 +313,8 @@ func (m *Manager) AddDocument(text []byte) (uint32, error) {
 // Delete tombstones a document. Deleting sealed documents persists
 // immediately; deleting a memtable document is recorded in memory only
 // (it becomes durable at the next seal, alongside the document).
-// Deleting an already-deleted document is a no-op.
+// Deleting an already-deleted document is a no-op, and so is deleting
+// one a compaction has already purged.
 func (m *Manager) Delete(doc uint32) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
@@ -285,10 +326,10 @@ func (m *Manager) Delete(doc uint32) error {
 		return fmt.Errorf("%w: doc %d (next is %d)", ErrUnknownDoc, doc, next)
 	}
 	old := m.tomb.Load()
-	if old.has(doc) {
+	nb := old.withDoc(doc, next)
+	if nb == old {
 		return nil
 	}
-	nb := old.withDoc(doc, next)
 	m.mu.RLock()
 	sealed := m.man.NextDoc
 	m.mu.RUnlock()
@@ -302,78 +343,78 @@ func (m *Manager) Delete(doc uint32) error {
 	return nil
 }
 
-// acquire retains the current view for one query.
-func (m *Manager) acquire() (*view, error) {
+// acquire retains the current view for one query and returns it with
+// the tombstones that were published with it. Filtering the view's
+// segments against any later bitmap could resurrect documents: a
+// compaction clears the bits of the documents it purged from the
+// segments it replaced, which an older view still reads.
+func (m *Manager) acquire() (*view, *bitmap, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.cur == nil {
-		return nil, store.ErrClosed
+		return nil, nil, store.ErrClosed
 	}
 	m.cur.retain()
-	return m.cur, nil
+	return m.cur, m.tomb.Load(), nil
 }
 
 // Postings assembles the term's live postings across sealed segments
 // and the memtable, dropping tombstoned documents. Unknown terms yield
 // an empty list.
 func (m *Manager) Postings(term string) (*postings.List, error) {
-	l, _, err := m.PostingsSized(term)
-	return l, err
+	return m.PostingsCtx(context.Background(), term)
 }
 
-// PostingsSized additionally reports the term's encoded size in bytes:
-// exact for sealed segments (on-disk list lengths), estimated for the
-// memtable portion. Cache layers use it to charge budgets by what the
-// postings cost at rest rather than their decoded footprint.
-func (m *Manager) PostingsSized(term string) (*postings.List, int64, error) {
-	return m.PostingsSizedCtx(context.Background(), term)
-}
-
-// PostingsSizedCtx is PostingsSized under a context. A
-// telemetry.RequestTrace carried by ctx sees the live read anatomy:
-// one merge span over the sealed-segment fan-out (with per-segment
-// dict/pread/decode children) and one memtable span for the in-memory
-// tail, plus the view generation the query ran against.
-func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.List, int64, error) {
-	v, err := m.acquire()
+// PostingsCtx is Postings under a context, satisfying
+// search.CtxPostingsSource. A telemetry.RequestTrace carried by ctx
+// sees the live read anatomy: one merge span over the sealed-segment
+// fan-out (with per-segment dict/cache/pread/decode children) and one
+// memtable span for the in-memory tail, plus the view generation the
+// query ran against.
+func (m *Manager) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
+	v, dead, err := m.acquire()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer v.release()
+	return m.postingsIn(ctx, v, dead, term)
+}
+
+// postingsIn assembles the term's postings from one view, filtered by
+// the tombstones acquired with it. Sealed-segment lists come through
+// the cache when one is installed; the memtable tail is copied fresh.
+func (m *Manager) postingsIn(ctx context.Context, v *view, dead *bitmap, term string) (*postings.List, error) {
 	tr := telemetry.TraceFrom(ctx)
 	tr.SetGeneration(v.gen)
-	dead := m.tomb.Load()
+	cache := m.postingsCache()
 	coll := int32(trie.IndexString(term))
 	out := &postings.List{}
-	var enc int64
 	msp := tr.StartSpan(telemetry.ReqStageMerge)
 	msp.AddItems(int64(len(v.segs)))
 	for _, s := range v.segs {
-		part, n, err := s.postingsCtx(ctx, coll, term)
+		part, err := s.postingsCtx(ctx, cache, coll, term)
 		if err != nil {
 			msp.End()
-			return nil, 0, err
+			return nil, err
 		}
 		if part == nil {
 			continue
 		}
-		enc += n
 		if err := appendLive(out, part, dead); err != nil {
 			msp.End()
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	msp.End()
 	memsp := tr.StartSpan(telemetry.ReqStageMemtable)
 	if part := v.mem.postings(term); part != nil {
-		enc += memEncodedEstimate(part)
 		if err := appendLive(out, part, dead); err != nil {
 			memsp.End()
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	memsp.End()
-	return out, enc, nil
+	return out, nil
 }
 
 // BlockPostingsCtx returns the term's block-at-a-time view across the
@@ -387,23 +428,29 @@ func (m *Manager) PostingsSizedCtx(ctx context.Context, term string) (*postings.
 // document frequencies (hence evaluator score bounds) would disagree
 // with the exhaustive path. A non-nil empty TermBlocks means the term
 // does not occur anywhere.
+//
+// A sealed list already resident in the cache becomes one exact
+// pseudo-block (same scores, no I/O); other lists are read through
+// their skip tables without entering the cache, since the point of
+// block evaluation is not materializing long lists.
 func (m *Manager) BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error) {
-	if d := m.tomb.Load(); d != nil && d.deleted > 0 {
-		return nil, nil
-	}
-	v, err := m.acquire()
+	v, dead, err := m.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer v.release()
+	if dead != nil && dead.deleted > 0 {
+		return nil, nil
+	}
 	tr := telemetry.TraceFrom(ctx)
 	tr.SetGeneration(v.gen)
+	cache := m.postingsCache()
 	coll := int32(trie.IndexString(term))
 	tb := &store.TermBlocks{}
 	msp := tr.StartSpan(telemetry.ReqStageMerge)
 	msp.AddItems(int64(len(v.segs)))
 	for _, s := range v.segs {
-		bl, err := s.blocksCtx(ctx, coll, term)
+		bl, err := s.blocksCtx(ctx, cache, coll, term)
 		if err != nil {
 			msp.End()
 			return nil, err
@@ -458,23 +505,13 @@ func appendLive(dst, part *postings.List, dead *bitmap) error {
 	return nil
 }
 
-// memEncodedEstimate prices a memtable list as if varbyte-encoded:
-// small gaps and TFs are mostly one byte each, positions likewise.
-func memEncodedEstimate(l *postings.List) int64 {
-	n := int64(2 * l.Len())
-	for _, ps := range l.Positions {
-		n += int64(len(ps)) + 1
-	}
-	return n
-}
-
 // Dictionary returns the union of all live terms in (collection, term)
 // order. Slots are segment-local and meaningless across the union;
 // entries keep the slot of the first segment holding the term. Terms
 // whose every posting is tombstoned remain listed until a compaction
 // physically drops them — their Postings are empty.
 func (m *Manager) Dictionary() []store.DictEntry {
-	v, err := m.acquire()
+	v, _, err := m.acquire()
 	if err != nil {
 		return nil
 	}
@@ -502,7 +539,7 @@ func (m *Manager) DocLens() []uint32 { return nil }
 // Runs describes the sealed segments plus the memtable as run
 // metadata, satisfying search.PostingsSource.
 func (m *Manager) Runs() []store.RunMeta {
-	v, err := m.acquire()
+	v, _, err := m.acquire()
 	if err != nil {
 		return nil
 	}
@@ -673,11 +710,10 @@ func (m *Manager) Stats() Stats {
 		Compactions: m.compactions.Load(),
 		Generation:  m.gen.Load(),
 	}
-	st.Purged = m.purged.Load()
 	if d := m.tomb.Load(); d != nil {
-		st.Deleted = d.deleted
+		st.Deleted, st.Purged = d.deleted, d.purged
 	}
-	v, err := m.acquire()
+	v, _, err := m.acquire()
 	if err != nil {
 		return st
 	}

@@ -202,7 +202,7 @@ func TestViewOutlivesReplacedSegmentFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := m.acquire()
+	v, dead, err := m.acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +212,9 @@ func TestViewOutlivesReplacedSegmentFiles(t *testing.T) {
 	// The old view's segments are unlinked now; reading through the
 	// retained view must still succeed via the open descriptors.
 	var got []uint32
-	dead := m.tomb.Load()
 	coll := int32(trie.IndexString("alpha"))
 	for _, s := range v.segs {
-		part, _, err := s.postings(coll, "alpha")
+		part, err := s.postings(coll, "alpha")
 		if err != nil {
 			t.Fatalf("read from replaced segment: %v", err)
 		}

@@ -23,6 +23,10 @@ type segment struct {
 	dict []store.DictEntry
 	refs atomic.Int64
 
+	// keyPrefix starts every PostingsCache key of this segment: its
+	// file path, which no later segment reuses (segment IDs only grow).
+	keyPrefix string
+
 	// decodes points at the owning Manager's per-codec decode counters
 	// (nil for segments opened outside a manager, e.g. in tests).
 	decodes *[encoding.NumCodecs]atomic.Uint64
@@ -66,7 +70,8 @@ func openSegment(dir string, meta SegmentMeta) (*segment, error) {
 	// refs starts at zero: views are the only owners. The current view
 	// always references every current segment, so a segment lives
 	// until the last view naming it drains.
-	return &segment{meta: meta, run: run, dict: dict}, nil
+	path := filepath.Join(dir, meta.File)
+	return &segment{meta: meta, run: run, dict: dict, keyPrefix: path + "\x00"}, nil
 }
 
 func (s *segment) retain() { s.refs.Add(1) }
@@ -77,59 +82,93 @@ func (s *segment) release() {
 	}
 }
 
-// postings returns the term's list in this segment (nil when absent)
-// plus its encoded on-disk size.
-func (s *segment) postings(coll int32, term string) (*postings.List, int64, error) {
-	return s.postingsCtx(context.Background(), coll, term)
+// postings returns the term's list in this segment (nil when absent),
+// uncached.
+func (s *segment) postings(coll int32, term string) (*postings.List, error) {
+	return s.postingsCtx(context.Background(), nil, coll, term)
 }
 
-// postingsCtx is postings under a (possibly traced) context: the
-// dictionary probe gets a dict span and the list fetch flows through
-// store.RunFile.ReadListCtx for pread/decode spans.
-func (s *segment) postingsCtx(ctx context.Context, coll int32, term string) (*postings.List, int64, error) {
+// entry finds the term's run-file entry (ok false when absent) under a
+// dict span.
+func (s *segment) entry(ctx context.Context, coll int32, term string) (store.RunEntry, bool, error) {
 	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
 	e, ok := store.Lookup(s.dict, coll, term)
 	dsp.End()
 	if !ok {
-		return nil, 0, nil
+		return store.RunEntry{}, false, nil
 	}
 	re, ok := s.run.Find(uint32(e.Collection), uint32(e.Slot))
 	if !ok {
-		return nil, 0, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
+		return store.RunEntry{}, false, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
 			s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
 	}
+	return re, true, nil
+}
+
+// cached probes cache (when non-nil) for the term's decoded list under
+// a cache span noting hit or miss.
+func (s *segment) cached(ctx context.Context, cache PostingsCache, term string) (*postings.List, bool) {
+	if cache == nil {
+		return nil, false
+	}
+	csp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageCache)
+	l, ok := cache.Get(s.keyPrefix + term)
+	if ok {
+		csp.SetNote("hit")
+	} else {
+		csp.SetNote("miss")
+	}
+	csp.End()
+	return l, ok
+}
+
+// countDecode charges one list decode to the entry's codec.
+func (s *segment) countDecode(re store.RunEntry) {
 	if s.decodes != nil {
 		if id := re.Codec(); id < encoding.NumCodecs {
 			s.decodes[id].Add(1)
 		}
 	}
+}
+
+// postingsCtx is postings under a (possibly traced) context, read
+// through cache when it is non-nil: the dictionary probe gets a dict
+// span, the cache probe a cache span, and a miss flows through
+// store.RunFile.ReadListCtx for pread/decode spans before its list is
+// cached at its encoded size. Absent terms are never cached; the
+// in-memory dictionary answers them without I/O.
+func (s *segment) postingsCtx(ctx context.Context, cache PostingsCache, coll int32, term string) (*postings.List, error) {
+	re, ok, err := s.entry(ctx, coll, term)
+	if !ok {
+		return nil, err
+	}
+	if l, ok := s.cached(ctx, cache, term); ok {
+		return l, nil
+	}
+	s.countDecode(re)
 	l, err := s.run.ReadListCtx(ctx, re)
 	if err != nil {
-		return nil, 0, fmt.Errorf("segment %d: %w", s.meta.ID, err)
+		return nil, fmt.Errorf("segment %d: %w", s.meta.ID, err)
 	}
-	return l, int64(re.Length), nil
+	if cache != nil {
+		cache.PutSized(s.keyPrefix+term, l, int64(re.Length))
+	}
+	return l, nil
 }
 
 // blocksCtx returns the term's block-at-a-time view within this
-// segment (nil when absent): the stored skip table for blocked
-// entries, one exact pseudo-block for short unblocked lists.
-func (s *segment) blocksCtx(ctx context.Context, coll int32, term string) (*store.BlockList, error) {
-	dsp := telemetry.TraceFrom(ctx).StartSpan(telemetry.ReqStageDict)
-	e, ok := store.Lookup(s.dict, coll, term)
-	dsp.End()
+// segment (nil when absent): a cached decoded list as one exact
+// pseudo-block, else the stored skip table for blocked entries or one
+// exact pseudo-block for short unblocked lists.
+func (s *segment) blocksCtx(ctx context.Context, cache PostingsCache, coll int32, term string) (*store.BlockList, error) {
+	re, ok, err := s.entry(ctx, coll, term)
 	if !ok {
-		return nil, nil
+		return nil, err
 	}
-	re, ok := s.run.Find(uint32(e.Collection), uint32(e.Slot))
-	if !ok {
-		return nil, fmt.Errorf("segment %d: dictionary slot (%d,%d) has no list: %w",
-			s.meta.ID, e.Collection, e.Slot, store.ErrCorruptIndex)
+	if l, ok := s.cached(ctx, cache, term); ok {
+		return store.BlockListFromList(l), nil
 	}
-	if s.decodes != nil {
-		if id := re.Codec(); id < encoding.NumCodecs {
-			s.decodes[id].Add(1)
-		}
-	}
+	s.countDecode(re)
 	bl, err := s.run.ReadBlocksCtx(ctx, re)
 	if err != nil {
 		return nil, fmt.Errorf("segment %d: %w", s.meta.ID, err)

@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"fastinvert/internal/search"
 	"fastinvert/internal/segment"
 )
 
@@ -124,9 +126,9 @@ func TestLiveServerLifecycle(t *testing.T) {
 }
 
 // TestLiveServerCacheGeneration checks that cached postings never
-// survive a mutation: the cache key carries the generation, so a
-// search after an ingest must see the new document even though the
-// previous result was cached.
+// survive a mutation: the cache holds sealed-segment lists only, so a
+// search after an ingest or a delete that touches only the memtable
+// must see it even though the previous result was served.
 func TestLiveServerCacheGeneration(t *testing.T) {
 	_, ts := newLiveServer(t, segment.Options{})
 
@@ -146,6 +148,125 @@ func TestLiveServerCacheGeneration(t *testing.T) {
 	res = getJSON(t, ts, "/search?q=omega&mode=and", http.StatusOK)
 	if int(res["count"].(float64)) != 1 {
 		t.Fatalf("stale cache after delete: %v, want 1 doc", res)
+	}
+}
+
+// TestLiveServerCacheSegments checks that cached postings never
+// survive a mutation they should reflect, and that the cache keeps
+// hitting when a mutation leaves the sealed segments alone. The cache
+// holds sealed-segment lists only, so after an ingest, a delete of a
+// sealed document, a seal and a compaction, every and/or/phrase/topk
+// answer must equal an uncached searcher's over the same manager, and
+// the hit counter must rise across the ingest and the delete.
+func TestLiveServerCacheSegments(t *testing.T) {
+	m, err := segment.Open(t.TempDir(), segment.Options{Positional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewLive(m, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		m.Close()
+	})
+	words := []string{"alpha", "beta", "gamma", "delta", "omega"}
+	for seg := 0; seg < 2; seg++ {
+		for i := 0; i < 12; i++ {
+			doc := fmt.Sprintf("%s %s %s %s", words[i%5], words[(i+seg)%5], words[(i*3)%5], words[(i+1)%5])
+			post(t, ts, "/ingest", doc, http.StatusOK)
+		}
+		post(t, ts, "/seal", "", http.StatusOK)
+	}
+
+	queries := []struct{ mode, q string }{
+		{"and", "alpha beta"},
+		{"or", "gamma omega"},
+		{"phrase", "alpha beta"},
+		{"phrase", "delta alpha"},
+		{"topk", "alpha gamma delta"},
+	}
+	// uncached answers the queries with a searcher reading the manager
+	// with no cache installed.
+	uncached := func() []searchResponse {
+		m.SetPostingsCache(nil)
+		defer m.SetPostingsCache(srv.cache)
+		s := search.NewWithSource(m)
+		out := make([]searchResponse, len(queries))
+		for i, q := range queries {
+			ws := strings.Fields(q.q)
+			var docs []uint32
+			var err error
+			switch q.mode {
+			case "and":
+				docs, err = s.And(ws...)
+			case "or":
+				docs, err = s.Or(ws...)
+			case "phrase":
+				docs, err = s.Phrase(ws...)
+			case "topk":
+				var ranked []search.ScoredDoc
+				ranked, err = s.TopK(10, ws...)
+				for _, d := range ranked {
+					out[i].Ranked = append(out[i].Ranked, rankedDoc{Doc: d.Doc, Score: d.Score})
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i].Docs = docs
+		}
+		return out
+	}
+	check := func(step string) {
+		t.Helper()
+		want := uncached()
+		for i, q := range queries {
+			resp, err := ts.Client().Get(ts.URL + "/search?mode=" + q.mode + "&k=10&q=" + strings.ReplaceAll(q.q, " ", "+"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got searchResponse
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s %q = %d (%v)", step, q.mode, q.q, resp.StatusCode, err)
+			}
+			if len(got.Docs) != len(want[i].Docs) || len(got.Ranked) != len(want[i].Ranked) {
+				t.Fatalf("%s: %s %q = %+v, uncached %+v", step, q.mode, q.q, got, want[i])
+			}
+			for j, d := range want[i].Docs {
+				if got.Docs[j] != d {
+					t.Fatalf("%s: %s %q docs %v, uncached %v", step, q.mode, q.q, got.Docs, want[i].Docs)
+				}
+			}
+			for j, d := range want[i].Ranked {
+				if g := got.Ranked[j]; g.Doc != d.Doc || math.Abs(g.Score-d.Score) > 1e-9 {
+					t.Fatalf("%s: %s %q ranked %v, uncached %v", step, q.mode, q.q, got.Ranked, want[i].Ranked)
+				}
+			}
+		}
+	}
+	check("warm")
+	steps := []struct {
+		name, path, body string
+		hits             bool // the step's queries must hit the cache
+	}{
+		{"ingest", "/ingest", "alpha beta gamma omega", true},
+		{"delete", "/delete?doc=3", "", true},
+		{"seal", "/seal", "", false},
+		{"compact", "/compact", "", false},
+	}
+	for _, st := range steps {
+		post(t, ts, st.path, st.body, http.StatusOK)
+		h0 := srv.CacheStats().Hits
+		check(st.name)
+		if h1 := srv.CacheStats().Hits; st.hits && h1 == h0 {
+			t.Fatalf("%s: no cache hits across the step", st.name)
+		}
+	}
+	if st := m.Stats(); st.Segments != 1 || st.Purged != 1 {
+		t.Fatalf("final state %+v, want one segment with one purged doc", st)
 	}
 }
 

@@ -172,85 +172,6 @@ func (cs *cachedSource) DocLens() []uint32             { return cs.idx.DocLens()
 func (cs *cachedSource) Runs() []store.RunMeta         { return cs.idx.Runs() }
 func (cs *cachedSource) Dictionary() []store.DictEntry { return cs.idx.Dictionary() }
 
-// liveSource reads through the cache against a segment.Manager. Cache
-// keys carry the manager's generation, which advances on every add,
-// delete, seal and compaction: a cached list can therefore never serve
-// a state it was not computed from, and queries never block on the
-// swap itself — a superseded generation simply stops getting hits and
-// ages out of the LRU. The size check after the fetch keeps a list
-// computed under a newer generation from being filed under an older
-// key.
-type liveSource struct {
-	mgr   *segment.Manager
-	cache *PostingsCache
-}
-
-func (ls *liveSource) Postings(term string) (*postings.List, error) {
-	gen := ls.mgr.Gen()
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	if l, ok := ls.cache.Get(key); ok {
-		return l, nil
-	}
-	l, enc, err := ls.mgr.PostingsSized(term)
-	if err != nil {
-		return nil, err
-	}
-	if ls.mgr.Gen() == gen {
-		ls.cache.PutSized(key, l, enc)
-	}
-	return l, nil
-}
-
-// PostingsCtx mirrors cachedSource.PostingsCtx for the live index: a
-// cache span around the generation-keyed probe, then the manager's
-// traced fan-out (memtable + sealed segments) on a miss.
-func (ls *liveSource) PostingsCtx(ctx context.Context, term string) (*postings.List, error) {
-	tr := telemetry.TraceFrom(ctx)
-	if tr == nil {
-		return ls.Postings(term)
-	}
-	gen := ls.mgr.Gen()
-	tr.SetGeneration(gen)
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	csp := tr.StartSpan(telemetry.ReqStageCache)
-	if l, ok := ls.cache.Get(key); ok {
-		csp.SetNote("hit")
-		csp.End()
-		return l, nil
-	}
-	csp.SetNote("miss")
-	csp.End()
-	l, enc, err := ls.mgr.PostingsSizedCtx(ctx, term)
-	if err != nil {
-		return nil, err
-	}
-	if ls.mgr.Gen() == gen {
-		ls.cache.PutSized(key, l, enc)
-	}
-	return l, nil
-}
-
-// BlockPostingsCtx serves the block evaluators from the live index: a
-// generation-keyed cache hit becomes one exact pseudo-block, otherwise
-// the manager assembles the per-segment skip tables (or reports block
-// evaluation unavailable while tombstones are live).
-func (ls *liveSource) BlockPostingsCtx(ctx context.Context, term string) (*store.TermBlocks, error) {
-	gen := ls.mgr.Gen()
-	key := term + "#" + strconv.FormatUint(gen, 10)
-	if l, ok := ls.cache.Get(key); ok {
-		if bl := store.BlockListFromList(l); bl != nil {
-			return &store.TermBlocks{Lists: []*store.BlockList{bl}}, nil
-		}
-		return &store.TermBlocks{}, nil
-	}
-	return ls.mgr.BlockPostingsCtx(ctx, term)
-}
-
-func (ls *liveSource) DocLens() []uint32             { return ls.mgr.DocLens() }
-func (ls *liveSource) Runs() []store.RunMeta         { return ls.mgr.Runs() }
-func (ls *liveSource) Dictionary() []store.DictEntry { return ls.mgr.Dictionary() }
-func (ls *liveSource) LiveDocs() int64               { return ls.mgr.LiveDocs() }
-
 // Server serves Boolean, phrase and ranked queries over one opened
 // index. Construct with New, mount Handler on an http.Server, and
 // Close on shutdown (the index itself stays open; its lifetime belongs
@@ -316,7 +237,11 @@ func NewLive(mgr *segment.Manager, cfg Config) *Server {
 	cfg.fill()
 	s := newServer(cfg)
 	s.live = mgr
-	s.searcher = search.NewWithSource(&liveSource{mgr: mgr, cache: s.cache})
+	// Sealed segments are immutable, so the manager caches their
+	// decoded lists per segment; the memtable tail and tombstones are
+	// applied fresh on every query.
+	mgr.SetPostingsCache(s.cache)
+	s.searcher = search.NewWithSource(mgr)
 	s.registerCommonMetrics(cfg.Registry)
 	s.registerLiveMetrics(cfg.Registry)
 	s.registerRoutes()

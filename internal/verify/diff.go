@@ -11,7 +11,7 @@ import (
 // TermDiff is one term-level disagreement between two indexes.
 type TermDiff struct {
 	Term   string
-	Kind   string // "missing" | "extra" | "length" | "doc-ids" | "unsorted" | "tfs" | "positions"
+	Kind   string // "missing" | "extra" | "length" | "doc-ids" | "unsorted" | "tfs" | "positions" | "live-docs"
 	Detail string
 }
 

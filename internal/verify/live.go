@@ -23,7 +23,13 @@ import (
 	"fastinvert/internal/postings"
 	"fastinvert/internal/reference"
 	"fastinvert/internal/segment"
+	"fastinvert/internal/serve"
 )
+
+// liveCacheBytes is the harness's postings-cache budget: small enough
+// that sealed-segment lists are evicted and re-read within a run, so
+// the differential covers cache hits, misses and evictions alike.
+const liveCacheBytes = 16 << 10
 
 // LiveConfig shapes one interleaved differential run.
 type LiveConfig struct {
@@ -170,6 +176,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.SetPostingsCache(serve.NewPostingsCache(4, liveCacheBytes))
 	closed := false
 	defer func() {
 		if !closed {
@@ -192,6 +199,10 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			return fmt.Errorf("verify: serial rebuild at op %d (%s): %w", op, trigger, err)
 		}
 		diff := DiffLists(trigger, live, want, cfg.MaxDiffs)
+		if got := m.LiveDocs(); got != int64(len(shadow)) {
+			diff.Diffs = append(diff.Diffs, TermDiff{Kind: "live-docs",
+				Detail: fmt.Sprintf("LiveDocs %d, %d documents survive", got, len(shadow))})
+		}
 		// Ranked differential at the same boundary: the block evaluators
 		// (sealed segments + memtable pseudo-block, tombstone fallback)
 		// must match the exhaustive scorer query-for-query.
@@ -225,11 +236,14 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 			}
 			i := rng.Intn(len(ids))
 			id := ids[i]
-			if _, alive := shadow[id]; !alive {
-				continue // already deleted through another slot
-			}
 			if err := m.Delete(id); err != nil {
 				return nil, fmt.Errorf("verify: delete doc %d at op %d: %w", id, op, err)
+			}
+			// A repeat delete — of a tombstoned or an already purged
+			// document — must be a no-op, which the live-docs check at
+			// the next checkpoint holds it to.
+			if _, alive := shadow[id]; !alive {
+				continue
 			}
 			delete(shadow, id)
 			res.Deletes++
@@ -286,6 +300,7 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 		return nil, fmt.Errorf("verify: reopen: %w", err)
 	}
 	m = m2
+	m.SetPostingsCache(serve.NewPostingsCache(4, liveCacheBytes))
 	closed = false
 	if err := checkpoint(cfg.Ops, "reopen"); err != nil {
 		return nil, err
